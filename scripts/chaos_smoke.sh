@@ -34,58 +34,12 @@ set -eu
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
 build=${1:-"$repo/build"}
-serve="$build/tools/fosm-serve"
-gateway="$build/tools/fosm-gateway"
-loadgen="$build/tools/fosm-loadgen"
+. "$repo/scripts/lib.sh"
 
 base=${FOSM_CHAOS_PORT:-18790}
 p1=$((base + 1)); p2=$((base + 2)); p3=$((base + 3))
 gp=$base
 backends="127.0.0.1:$p1,127.0.0.1:$p2,127.0.0.1:$p3"
-tmp=$(mktemp -d)
-
-pids=""
-cleanup() {
-    for pid in $pids; do
-        kill -9 "$pid" 2>/dev/null || true
-    done
-    wait 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT INT TERM
-
-wait_healthy() { # $1 = port, $2 = name
-    i=0
-    # 30 s: a process (re)started while the loadgen saturates the
-    # box can take a while to get scheduled on small CI runners.
-    while ! curl -fsS "http://127.0.0.1:$1/healthz" \
-            > /dev/null 2>&1; do
-        i=$((i + 1))
-        if [ "$i" -ge 300 ]; then
-            echo "FAIL: $2 (:$1) never became healthy" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-}
-
-start_replica() { # $1 = port
-    "$serve" --port "$1" --no-store --no-warmup \
-        > "$tmp/serve-$1.log" 2>&1 &
-    echo $!
-}
-
-start_slow_replica() { # $1 = port: healthz fine, work delayed 400ms
-    # Extra workers so /healthz never queues behind the 400ms-delayed
-    # requests: the replica must look alive to the prober while every
-    # live request blows the gateway's attempt budget — the failure
-    # mode only the circuit breaker can see.
-    FOSM_FAULTS="serve.handler=delay:1.0:400" FOSM_FAULT_SEED=42 \
-        "$serve" --port "$1" --no-store --no-warmup --cache 0 \
-        --workers 8 \
-        > "$tmp/serve-$1.log" 2>&1 &
-    echo $!
-}
 
 gateway_metric() { # $1 = anchored grep pattern; prints the sum
     curl -fsS "http://127.0.0.1:$gp/metrics" \
@@ -103,9 +57,16 @@ admin() { # $1 = JSON body; expects HTTP 200
 }
 
 echo "== booting replicas (:$p1 :$p2 fast, :$p3 injected-slow)"
-r1=$(start_replica "$p1"); pids="$pids $r1"
-r2=$(start_replica "$p2"); pids="$pids $r2"
-r3=$(start_slow_replica "$p3"); pids="$pids $r3"
+start_replica "$p1" --no-store
+start_replica "$p2" --no-store; r2=$!
+# :$p3 answers /healthz fine but delays all work 400ms. Extra workers
+# so /healthz never queues behind the delayed requests: the replica
+# must look alive to the prober while every live request blows the
+# gateway's attempt budget — the failure mode only the circuit
+# breaker can see.
+export FOSM_FAULTS="serve.handler=delay:1.0:400" FOSM_FAULT_SEED=42
+start_replica "$p3" --no-store --cache 0 --workers 8; r3=$!
+unset FOSM_FAULTS FOSM_FAULT_SEED
 wait_healthy "$p1" replica1
 wait_healthy "$p2" replica2
 wait_healthy "$p3" replica3
@@ -148,7 +109,7 @@ echo "== draining :$p3 live, SIGKILL, clean restart, live re-join"
 admin "{\"remove\":[\"127.0.0.1:$p3\"]}"
 kill -9 "$r3"
 wait "$r3" 2>/dev/null || true
-r3=$(start_replica "$p3"); pids="$pids $r3"   # no faults this time
+start_replica "$p3" --no-store # no faults this time
 wait_healthy "$p3" replica3-restarted
 admin "{\"add\":[\"127.0.0.1:$p3\"]}"
 
@@ -156,7 +117,7 @@ echo "== SIGKILL replica 2 mid-load, then restart it"
 kill -9 "$r2"
 wait "$r2" 2>/dev/null || true
 sleep 2
-r2=$(start_replica "$p2"); pids="$pids $r2"
+start_replica "$p2" --no-store
 wait_healthy "$p2" replica2-restarted
 
 if ! wait "$lg"; then
@@ -222,18 +183,15 @@ gq=$((base + 7))
 rbackends="127.0.0.1:$q1,127.0.0.1:$q2,127.0.0.1:$q3"
 
 start_store_replica() { # $1 = port
-    "$serve" --port "$1" --no-warmup \
-        --store-dir "$tmp/store-$1" \
+    start_replica "$1" --store-dir "$tmp/store-$1" \
         --self "127.0.0.1:$1" --peers "$rbackends" \
-        --replication 2 --repl-interval 1000 \
-        > "$tmp/serve-repl-$1.log" 2>&1 &
-    echo $!
+        --replication 2 --repl-interval 1000
 }
 
 echo "== stage 2: replicated store trio (:$q1 :$q2 :$q3, N=2)"
-s1=$(start_store_replica "$q1"); pids="$pids $s1"
-s2=$(start_store_replica "$q2"); pids="$pids $s2"
-s3=$(start_store_replica "$q3"); pids="$pids $s3"
+start_store_replica "$q1"
+start_store_replica "$q2"; s2=$!
+start_store_replica "$q3"
 wait_healthy "$q1" store-replica1
 wait_healthy "$q2" store-replica2
 wait_healthy "$q3" store-replica3
@@ -272,7 +230,7 @@ while [ "$i" -lt 30 ]; do
 done
 
 sleep 2 # until the second mark
-s2=$(start_store_replica "$q2"); pids="$pids $s2" # same port + store
+start_store_replica "$q2" # same port + store
 wait_healthy "$q2" store-replica2-rejoined
 
 if ! wait "$dg"; then
@@ -324,7 +282,7 @@ catchup=$(curl -fsS "http://127.0.0.1:$q2/metrics" \
 if [ -z "$catchup" ] || [ "$catchup" -lt 1 ]; then
     echo "FAIL: rejoined :$q2 caught up ${catchup:-0} entries" \
          "(expected >= 1)" >&2
-    cat "$tmp/serve-repl-$q2.log" >&2
+    cat "$tmp/serve-$q2.log" >&2
     exit 1
 fi
 echo "OK: rejoined :$q2 caught up $catchup entries"

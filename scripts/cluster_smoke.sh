@@ -12,49 +12,17 @@ set -eu
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
 build=${1:-"$repo/build"}
-serve="$build/tools/fosm-serve"
-gateway="$build/tools/fosm-gateway"
-loadgen="$build/tools/fosm-loadgen"
+. "$repo/scripts/lib.sh"
 
 base=${FOSM_SMOKE_PORT:-18780}
 p1=$((base + 1)); p2=$((base + 2)); p3=$((base + 3))
 gp=$base
 backends="127.0.0.1:$p1,127.0.0.1:$p2,127.0.0.1:$p3"
-tmp=$(mktemp -d)
-
-pids=""
-cleanup() {
-    for pid in $pids; do
-        kill "$pid" 2>/dev/null || true
-    done
-    wait 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT INT TERM
-
-wait_healthy() { # $1 = port, $2 = name
-    i=0
-    while ! curl -fsS "http://127.0.0.1:$1/healthz" \
-            > /dev/null 2>&1; do
-        i=$((i + 1))
-        if [ "$i" -ge 100 ]; then
-            echo "FAIL: $2 (:$1) never became healthy" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-}
-
-start_replica() { # $1 = port
-    "$serve" --port "$1" --no-store --no-warmup \
-        > "$tmp/serve-$1.log" 2>&1 &
-    echo $!
-}
 
 echo "== booting 3 replicas on :$p1 :$p2 :$p3"
-r1=$(start_replica "$p1"); pids="$pids $r1"
-r2=$(start_replica "$p2"); pids="$pids $r2"
-r3=$(start_replica "$p3"); pids="$pids $r3"
+start_replica "$p1" --no-store
+start_replica "$p2" --no-store; r2=$!
+start_replica "$p3" --no-store
 wait_healthy "$p1" replica1
 wait_healthy "$p2" replica2
 wait_healthy "$p3" replica3
@@ -82,7 +50,7 @@ wait "$r2" 2>/dev/null || true
 echo "   replica 2 (:$p2) killed"
 
 sleep 3
-r2=$(start_replica "$p2"); pids="$pids $r2"
+start_replica "$p2" --no-store
 echo "   replica 2 (:$p2) restarted"
 
 if ! wait "$lg"; then

@@ -28,46 +28,21 @@ set -eu
 repo=$(cd "$(dirname "$0")/.." && pwd)
 build=${1:-"$repo/build"}
 out=${2:-"$repo/BENCH_PR7.json"}
-serve="$build/tools/fosm-serve"
-loadgen="$build/tools/fosm-loadgen"
+. "$repo/scripts/lib.sh"
 
 port=${FOSM_BENCH_PORT:-18791}
 points=${FOSM_BENCH_POINTS:-12000}
 seed=${FOSM_BENCH_SEED:-1}
-tmp=$(mktemp -d)
-
-pid=""
-cleanup() {
-    [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
-    wait 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT INT TERM
-
-wait_healthy() {
-    i=0
-    while ! curl -fsS "http://127.0.0.1:$port/healthz" \
-            > /dev/null 2>&1; do
-        i=$((i + 1))
-        if [ "$i" -ge 200 ]; then
-            echo "FAIL: fosm-serve (:$port) never became healthy" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-}
 
 start_server() { # $1 = store dir
-    "$serve" --port "$port" --no-warmup --store-dir "$1" \
-        > "$tmp/serve.log" 2>&1 &
-    pid=$!
-    wait_healthy
+    start_replica "$port" --store-dir "$1"
+    wait_healthy "$port" fosm-serve
 }
 
-stop_server() {
-    kill "$pid" 2>/dev/null || true
-    wait "$pid" 2>/dev/null || true
-    pid=""
+stop_server() { # SIGTERM: the store must close cleanly for the restart
+    kill $pids 2>/dev/null || true
+    wait $pids 2>/dev/null || true
+    pids=""
 }
 
 run() { # $1 = mode, $2 = report file, $3 = point count

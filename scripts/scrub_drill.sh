@@ -23,48 +23,19 @@ set -eu
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
 build=${1:-"$repo/build"}
-serve="$build/tools/fosm-serve"
-gateway="$build/tools/fosm-gateway"
-loadgen="$build/tools/fosm-loadgen"
+. "$repo/scripts/lib.sh"
 
 base=${FOSM_SCRUB_PORT:-18830}
 p1=$((base + 1)); p2=$((base + 2)); p3=$((base + 3))
 gp=$base
 backends="127.0.0.1:$p1,127.0.0.1:$p2,127.0.0.1:$p3"
-tmp=$(mktemp -d)
 
-pids=""
-cleanup() {
-    for pid in $pids; do
-        kill -9 "$pid" 2>/dev/null || true
-    done
-    wait 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT INT TERM
-
-wait_healthy() { # $1 = port, $2 = name
-    i=0
-    while ! curl -fsS "http://127.0.0.1:$1/healthz" \
-            > /dev/null 2>&1; do
-        i=$((i + 1))
-        if [ "$i" -ge 300 ]; then
-            echo "FAIL: $2 (:$1) never became healthy" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-}
-
-start_replica() { # $1 = port (env may carry FOSM_FAULTS)
-    "$serve" --port "$1" --no-warmup \
-        --store-dir "$tmp/store-$1" \
+start_scrub_replica() { # $1 = port (env may carry FOSM_FAULTS)
+    start_replica "$1" --store-dir "$tmp/store-$1" \
         --self "127.0.0.1:$1" --peers "$backends" \
         --replication 2 --repl-interval 1000 \
         --scrub-interval-s 1 --scrub-mbps 64 \
-        --store-verify-reads \
-        > "$tmp/serve-$1.log" 2>&1 &
-    echo $!
+        --store-verify-reads
 }
 
 node_metric() { # $1 = port, $2 = anchored grep pattern; prints sum
@@ -73,10 +44,11 @@ node_metric() { # $1 = port, $2 = anchored grep pattern; prints sum
 }
 
 echo "== booting scrubbing trio (:$p1 :$p3 clean, :$p2 flips bytes)"
-r1=$(start_replica "$p1"); pids="$pids $r1"
-r2=$(FOSM_FAULTS="store.corrupt=flip:0.15" FOSM_FAULT_SEED=7 \
-    start_replica "$p2"); pids="$pids $r2"
-r3=$(start_replica "$p3"); pids="$pids $r3"
+start_scrub_replica "$p1"
+export FOSM_FAULTS="store.corrupt=flip:0.15" FOSM_FAULT_SEED=7
+start_scrub_replica "$p2"
+unset FOSM_FAULTS FOSM_FAULT_SEED
+start_scrub_replica "$p3"
 wait_healthy "$p1" replica1
 wait_healthy "$p2" replica2
 wait_healthy "$p3" replica3

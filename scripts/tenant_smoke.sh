@@ -20,37 +20,11 @@ set -eu
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
 build=${1:-"$repo/build"}
-serve="$build/tools/fosm-serve"
-gateway="$build/tools/fosm-gateway"
-loadgen="$build/tools/fosm-loadgen"
+. "$repo/scripts/lib.sh"
 
 base=${FOSM_SMOKE_PORT:-18860}
 sp=$((base + 1))
 gp=$base
-tmp=$(mktemp -d)
-
-pids=""
-cleanup() {
-    for pid in $pids; do
-        kill "$pid" 2>/dev/null || true
-    done
-    wait 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT INT TERM
-
-wait_healthy() { # $1 = port, $2 = name
-    i=0
-    while ! curl -fsS "http://127.0.0.1:$1/healthz" \
-            > /dev/null 2>&1; do
-        i=$((i + 1))
-        if [ "$i" -ge 100 ]; then
-            echo "FAIL: $2 (:$1) never became healthy" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-}
 
 status_of() { # $@ = curl args; prints the HTTP status
     curl -s -o /dev/null -w '%{http_code}' "$@"
@@ -66,10 +40,8 @@ cat > "$tmp/tenants.json" <<'EOF'
 EOF
 
 echo "== booting tenant-enabled serve on :$sp and gateway on :$gp"
-"$serve" --port "$sp" --no-store --no-warmup --queue 64 \
-    --tenants-file "$tmp/tenants.json" \
-    > "$tmp/serve.log" 2>&1 &
-pids="$pids $!"
+start_replica "$sp" --no-store --queue 64 \
+    --tenants-file "$tmp/tenants.json"
 "$gateway" --port "$gp" --backends "127.0.0.1:$sp" \
     --tenants-file "$tmp/tenants.json" --health-interval 100 \
     > "$tmp/gateway.log" 2>&1 &

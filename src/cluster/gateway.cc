@@ -793,37 +793,6 @@ Gateway::proxyBatch(const server::HttpRequest &request,
     return out;
 }
 
-bool
-Gateway::blockingExchange(Backend &backend,
-                          const std::string &method,
-                          const std::string &target,
-                          const std::string &body, int timeoutMs,
-                          server::ClientResponse &out)
-{
-    UpstreamCall call;
-    if (!call.start(backend,
-                    server::serializeRequest(
-                        method, target, backend.address().label,
-                        body),
-                    config_.upstream.connectTimeoutMs,
-                    /*forceFresh=*/true))
-        return false;
-    const auto deadline =
-        Clock::now() + std::chrono::milliseconds(timeoutMs);
-    while (call.state() == UpstreamCall::State::Receiving) {
-        pollfd pfd{call.fd(), POLLIN, 0};
-        const int left = millisLeft(deadline);
-        if (left == 0 || ::poll(&pfd, 1, left) <= 0)
-            return false;
-        call.onReadable();
-    }
-    if (call.state() != UpstreamCall::State::Done)
-        return false;
-    out = call.response();
-    call.finish();
-    return true;
-}
-
 server::HttpResponse
 Gateway::health() const
 {
@@ -873,6 +842,7 @@ Gateway::aggregateStoreStats()
         std::string error;
         if (b.healthy() &&
             blockingExchange(b, "GET", "/v1/store/stats", "",
+                             config_.upstream.connectTimeoutMs,
                              config_.upstream.requestTimeoutMs,
                              r) &&
             r.status == 200 &&
@@ -960,6 +930,7 @@ Gateway::adminScrub(const server::HttpRequest &request)
         if (b.healthy() &&
             blockingExchange(b, request.method, "/admin/scrub",
                              request.body,
+                             config_.upstream.connectTimeoutMs,
                              config_.upstream.requestTimeoutMs,
                              r) &&
             r.status == 200 && json::parse(r.body, doc, &error)) {

@@ -176,11 +176,6 @@ class Gateway
         Clock::time_point deadline, bool &transportOk);
     /** Current hedge trigger delay in milliseconds. */
     int hedgeDelayMs() const;
-    bool blockingExchange(Backend &backend,
-                          const std::string &method,
-                          const std::string &target,
-                          const std::string &body, int timeoutMs,
-                          server::ClientResponse &out);
     server::HttpResponse health() const;
     server::HttpResponse aggregateStoreStats();
     /** /admin/scrub fan-out: GET collects every backend's scrub

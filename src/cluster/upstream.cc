@@ -557,6 +557,35 @@ UpstreamCall::abandon()
     state_ = State::Unstarted;
 }
 
+bool
+blockingExchange(Backend &backend, const std::string &method,
+                 const std::string &target, const std::string &body,
+                 int connectTimeoutMs, int timeoutMs,
+                 server::ClientResponse &out)
+{
+    UpstreamCall call;
+    if (!call.start(backend,
+                    server::serializeRequest(method, target,
+                                             backend.address().label,
+                                             body),
+                    connectTimeoutMs, /*forceFresh=*/true))
+        return false;
+    const auto deadline =
+        Clock::now() + std::chrono::milliseconds(timeoutMs);
+    while (call.state() == UpstreamCall::State::Receiving) {
+        pollfd pfd{call.fd(), POLLIN, 0};
+        const int left = millisLeft(deadline);
+        if (left == 0 || ::poll(&pfd, 1, left) <= 0)
+            return false;
+        call.onReadable();
+    }
+    if (call.state() != UpstreamCall::State::Done)
+        return false;
+    out = call.response();
+    call.finish();
+    return true;
+}
+
 BackendPool::BackendPool(std::vector<BackendAddress> addresses,
                          UpstreamConfig config,
                          server::MetricsRegistry *metrics)
@@ -661,29 +690,11 @@ BackendPool::healthyCount() const
 bool
 BackendPool::probe(Backend &backend)
 {
-    UpstreamCall call;
-    const std::string wire = server::serializeRequest(
-        "GET", "/healthz", backend.address().label, "");
-    // Probes always dial fresh: a probe must test connectivity, not
-    // an idle pooled socket's liveness.
-    if (!call.start(backend, wire, config_.connectTimeoutMs,
-                    /*forceFresh=*/true))
-        return false;
-    const auto deadline =
-        Clock::now() +
-        std::chrono::milliseconds(config_.probeTimeoutMs);
-    while (call.state() == UpstreamCall::State::Receiving) {
-        pollfd pfd{call.fd(), POLLIN, 0};
-        const int left = millisLeft(deadline);
-        if (left == 0 || ::poll(&pfd, 1, left) <= 0)
-            return false;
-        call.onReadable();
-    }
-    if (call.state() != UpstreamCall::State::Done)
-        return false;
-    const bool ok = call.response().status == 200;
-    call.finish();
-    return ok;
+    server::ClientResponse response;
+    return blockingExchange(backend, "GET", "/healthz", "",
+                            config_.connectTimeoutMs,
+                            config_.probeTimeoutMs, response) &&
+           response.status == 200;
 }
 
 void

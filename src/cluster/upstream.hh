@@ -303,6 +303,19 @@ class UpstreamCall
 };
 
 /**
+ * One blocking exchange on a fresh connection — it tests
+ * connectivity, not an idle pooled socket's liveness: send the
+ * request, then poll until the response is complete or timeoutMs has
+ * passed. True, with out set, on a complete response. Health probes
+ * and the gateway's admin fan-outs use it; the proxy path drives
+ * UpstreamCall from its own poll loop.
+ */
+bool blockingExchange(Backend &backend, const std::string &method,
+                      const std::string &target,
+                      const std::string &body, int connectTimeoutMs,
+                      int timeoutMs, server::ClientResponse &out);
+
+/**
  * The live backend set plus its active health checker. Membership is
  * dynamic: add() joins a replica (probing it synchronously first so
  * it starts with accurate health) and remove() drains one without

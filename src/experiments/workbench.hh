@@ -45,7 +45,7 @@ struct WorkloadData
 
 /**
  * Lazily builds and caches WorkloadData per profile. The trace length
- * defaults to 200k instructions and can be overridden with the
+ * defaults to 400k instructions and can be overridden with the
  * FOSM_TRACE_INSTS environment variable (the paper used much longer
  * SPEC traces; shapes are stable at this length).
  *

@@ -1,12 +1,19 @@
 #include "repl/codec.hh"
 
+#include <algorithm>
 #include <cstring>
 
+#include "store/codec.hh"
 #include "store/crc32c.hh"
 
 namespace fosm::repl {
 
 namespace {
+
+using store::getU32;
+using store::getU64;
+using store::putU32;
+using store::putU64;
 
 constexpr char replMagic[8] = {'F', 'O', 'S', 'M',
                                'R', 'E', 'P', 'L'};
@@ -17,70 +24,35 @@ constexpr std::uint32_t maxLabelLen = 1u << 10;
 constexpr std::uint32_t maxKeyLen = 1u << 20;
 constexpr std::uint32_t maxValueLen = 1u << 30;
 
-void
-putU32(std::string &s, std::uint32_t v)
-{
-    for (unsigned i = 0; i < 4; ++i)
-        s.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void
-putU64(std::string &s, std::uint64_t v)
-{
-    for (unsigned i = 0; i < 8; ++i)
-        s.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-std::uint32_t
-getU32(const unsigned char *p)
-{
-    std::uint32_t v = 0;
-    for (unsigned i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-getU64(const unsigned char *p)
-{
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
 } // namespace
 
 std::string
 encodeBatch(const Batch &batch)
 {
-    std::string wire;
-    std::size_t payload = batch.origin.size();
+    std::size_t size = headerSize + batch.origin.size();
     for (const store::LiveEntry &e : batch.entries)
-        payload += entryHeaderSize + e.key.size() + e.value.size();
-    wire.reserve(headerSize + payload);
+        size += entryHeaderSize + e.key.size() + e.value.size();
+    std::string wire(size, '\0');
 
-    wire.append(replMagic, sizeof(replMagic));
-    putU32(wire, replFormatVersion);
-    putU32(wire, 0); // CRC placeholder
-    putU32(wire, static_cast<std::uint32_t>(batch.entries.size()));
-    putU32(wire, static_cast<std::uint32_t>(batch.origin.size()));
-    putU64(wire, batch.upto);
-    putU64(wire, batch.storeId);
-    wire.push_back(batch.more ? 1 : 0);
-    wire.append(batch.origin);
+    char *p = wire.data();
+    std::memcpy(p, replMagic, sizeof(replMagic));
+    putU32(p + 8, replFormatVersion);
+    putU32(p + 16, static_cast<std::uint32_t>(batch.entries.size()));
+    putU32(p + 20, static_cast<std::uint32_t>(batch.origin.size()));
+    putU64(p + 24, batch.upto);
+    putU64(p + 32, batch.storeId);
+    p[40] = batch.more ? 1 : 0;
+    p = std::copy(batch.origin.begin(), batch.origin.end(),
+                  p + headerSize);
     for (const store::LiveEntry &e : batch.entries) {
-        putU32(wire, static_cast<std::uint32_t>(e.key.size()));
-        putU32(wire, static_cast<std::uint32_t>(e.value.size()));
-        putU64(wire, e.lsn);
-        wire.append(e.key);
-        wire.append(e.value);
+        putU32(p, static_cast<std::uint32_t>(e.key.size()));
+        putU32(p + 4, static_cast<std::uint32_t>(e.value.size()));
+        putU64(p + 8, e.lsn);
+        p = std::copy(e.key.begin(), e.key.end(), p + entryHeaderSize);
+        p = std::copy(e.value.begin(), e.value.end(), p);
     }
-
-    const std::uint32_t crc =
-        store::crc32c(wire.data() + 16, wire.size() - 16);
-    for (unsigned i = 0; i < 4; ++i)
-        wire[12 + i] = static_cast<char>(crc >> (8 * i));
+    putU32(wire.data() + 12,
+           store::crc32c(wire.data() + 16, wire.size() - 16));
     return wire;
 }
 
@@ -122,6 +94,13 @@ decodeBatch(std::string_view wire, Batch &out, std::string &error)
     out.origin.assign(wire.data() + off, originLen);
     off += originLen;
 
+    // Every entry needs its header: bound the count by the bytes left
+    // before reserving, so a forged count cannot demand a huge
+    // allocation.
+    if (count > (wire.size() - off) / entryHeaderSize) {
+        error = "entry count exceeds the frame";
+        return false;
+    }
     out.entries.clear();
     out.entries.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {

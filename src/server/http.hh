@@ -290,7 +290,7 @@ class HttpServer
     /** shared_ptr so the /metrics queue-depth callback registered in
      *  the registry can outlive the server object safely. With no
      *  admission hook only class 0 exists and the weighted-fair
-     *  queue behaves exactly like the old single bounded FIFO. */
+     *  queue is a plain bounded FIFO. */
     std::shared_ptr<tenant::FairQueue<Task>> queue_;
     std::vector<std::unique_ptr<IoLoop>> loops_;
     std::vector<std::thread> workers_;

@@ -1,25 +1,62 @@
 /**
  * @file
- * Little-endian binary encoding helpers for store values. The store
- * itself treats values as opaque bytes; layers above it (the
- * characterization store in particular) need an exact, compact
- * serialization — doubles must round-trip bit-identically, because
- * warm-started evaluations are required to be byte-equal to cold
- * ones. Encoding by byte image (memcpy) guarantees that; JSON would
- * too, but at several times the size for numeric bulk data like gap
- * vectors.
+ * Little-endian binary encoding: the byte helpers every binary format
+ * here uses (store segments, repl frames, the batch wire format) and
+ * an Encoder/Decoder pair for store values. The store itself treats
+ * values as opaque bytes; layers above it (the characterization store
+ * in particular) need an exact, compact serialization — doubles must
+ * round-trip bit-identically, because warm-started evaluations are
+ * required to be byte-equal to cold ones. Encoding by bit image
+ * guarantees that; JSON would too, but at several times the size for
+ * numeric bulk data like gap vectors.
  */
 
 #ifndef FOSM_STORE_CODEC_HH
 #define FOSM_STORE_CODEC_HH
 
+#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace fosm::store {
+
+/** Write v at p as 4 little-endian bytes. */
+inline void
+putU32(char *p, std::uint32_t v)
+{
+    for (unsigned i = 0; i < 4; ++i)
+        p[i] = static_cast<char>(v >> (8 * i));
+}
+
+/** Write v at p as 8 little-endian bytes. */
+inline void
+putU64(char *p, std::uint64_t v)
+{
+    for (unsigned i = 0; i < 8; ++i)
+        p[i] = static_cast<char>(v >> (8 * i));
+}
+
+/** Read 4 little-endian bytes at p. */
+inline std::uint32_t
+getU32(const unsigned char *p)
+{
+    std::uint32_t v = 0;
+    for (unsigned i = 0; i < 4; ++i)
+        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+    return v;
+}
+
+/** Read 8 little-endian bytes at p. */
+inline std::uint64_t
+getU64(const unsigned char *p)
+{
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < 8; ++i)
+        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    return v;
+}
 
 /** Appends fixed-width little-endian fields to a byte string. */
 class Encoder
@@ -28,23 +65,20 @@ class Encoder
     void
     u32(std::uint32_t v)
     {
-        appendInt(v);
+        char b[4];
+        putU32(b, v);
+        buf_.append(b, sizeof(b));
     }
 
     void
     u64(std::uint64_t v)
     {
-        appendInt(v);
+        char b[8];
+        putU64(b, v);
+        buf_.append(b, sizeof(b));
     }
 
-    void
-    f64(double v)
-    {
-        std::uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(v));
-        std::memcpy(&bits, &v, sizeof(bits));
-        appendInt(bits);
-    }
+    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
     /** Length-prefixed byte string. */
     void
@@ -82,15 +116,6 @@ class Encoder
     std::string take() { return std::move(buf_); }
 
   private:
-    template <typename T>
-    void
-    appendInt(T v)
-    {
-        for (unsigned i = 0; i < sizeof(T); ++i)
-            buf_.push_back(static_cast<char>(
-                static_cast<std::uint64_t>(v) >> (8 * i)));
-    }
-
     std::string buf_;
 };
 
@@ -107,22 +132,28 @@ class Decoder
     bool
     u32(std::uint32_t &out)
     {
-        return readInt(out);
+        const unsigned char *p = next(4);
+        if (p)
+            out = getU32(p);
+        return p != nullptr;
     }
 
     bool
     u64(std::uint64_t &out)
     {
-        return readInt(out);
+        const unsigned char *p = next(8);
+        if (p)
+            out = getU64(p);
+        return p != nullptr;
     }
 
     bool
     f64(double &out)
     {
         std::uint64_t bits;
-        if (!readInt(bits))
+        if (!u64(bits))
             return false;
-        std::memcpy(&out, &bits, sizeof(out));
+        out = std::bit_cast<double>(bits);
         return true;
     }
 
@@ -197,20 +228,18 @@ class Decoder
     bool atEnd() const { return ok_ && pos_ == data_.size(); }
 
   private:
-    template <typename T>
-    bool
-    readInt(T &out)
+    /** Consume n bytes; null (and failed) when fewer remain. */
+    const unsigned char *
+    next(std::size_t n)
     {
-        if (!ok_ || data_.size() - pos_ < sizeof(T))
-            return fail();
-        std::uint64_t v = 0;
-        for (unsigned i = 0; i < sizeof(T); ++i)
-            v |= static_cast<std::uint64_t>(static_cast<unsigned char>(
-                     data_[pos_ + i]))
-                 << (8 * i);
-        out = static_cast<T>(v);
-        pos_ += sizeof(T);
-        return true;
+        if (!ok_ || data_.size() - pos_ < n) {
+            fail();
+            return nullptr;
+        }
+        const auto *p =
+            reinterpret_cast<const unsigned char *>(data_.data()) + pos_;
+        pos_ += n;
+        return p;
     }
 
     bool

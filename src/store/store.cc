@@ -15,6 +15,7 @@
 #include "common/fault_injector.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
+#include "store/codec.hh"
 #include "store/crc32c.hh"
 
 namespace fosm::store {
@@ -46,38 +47,6 @@ constexpr std::size_t recHeaderSize = 32;
 constexpr std::uint32_t flagTombstone = 1u;
 constexpr std::uint32_t maxKeyLen = 1u << 20;
 constexpr std::uint32_t maxValueLen = 1u << 30;
-
-void
-putU32(char *p, std::uint32_t v)
-{
-    for (unsigned i = 0; i < 4; ++i)
-        p[i] = static_cast<char>(v >> (8 * i));
-}
-
-void
-putU64(char *p, std::uint64_t v)
-{
-    for (unsigned i = 0; i < 8; ++i)
-        p[i] = static_cast<char>(v >> (8 * i));
-}
-
-std::uint32_t
-getU32(const unsigned char *p)
-{
-    std::uint32_t v = 0;
-    for (unsigned i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-getU64(const unsigned char *p)
-{
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
 
 std::string
 segmentName(std::uint64_t id)

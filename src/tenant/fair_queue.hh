@@ -1,12 +1,11 @@
 /**
  * @file
  * Weighted-fair admission queue: per-class (per-tenant) sub-queues
- * drained by deficit round-robin. Drop-in for the single
- * BoundedQueue FIFO in the HTTP worker pool — same
- * tryPush/pop/popBatch/close contract — but admission and
- * backpressure are per class: each class owns a bounded sub-queue,
- * so a saturating tenant fills (and gets shed from) its own queue
- * while everyone else's stays shallow, and the drain order gives
+ * drained by deficit round-robin. It is the HTTP worker pool's queue,
+ * with a bounded FIFO's tryPush/pop/popBatch/close contract, but
+ * admission and backpressure are per class: each class owns a bounded
+ * sub-queue, so a saturating tenant fills (and gets shed from) its own
+ * queue while everyone else's stays shallow, and the drain order gives
  * each backlogged class throughput proportional to its weight.
  *
  * DRR discipline (Shreedhar & Varghese): active classes sit on a
@@ -16,7 +15,7 @@
  * forfeit) or runs out of deficit (rotate to the tail, keep the
  * remainder). Weights below 1 simply need several rotations to
  * afford an item, so any positive weight works. With one class the
- * discipline degenerates to exactly the old FIFO.
+ * discipline degenerates to a plain bounded FIFO.
  *
  * Weights ride along on every push (the tenant registry is
  * live-editable, so the current weight is wherever the request was
@@ -50,9 +49,8 @@ class FairQueue
 {
   public:
     /**
-     * capacityPerClass bounds each class's sub-queue — the same
-     * semantics the old shared queue's capacity had when everyone
-     * was one class.
+     * capacityPerClass bounds each class's sub-queue; with one
+     * class it bounds the whole queue.
      */
     explicit FairQueue(std::size_t capacityPerClass)
         : capacity_(capacityPerClass)

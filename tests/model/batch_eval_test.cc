@@ -11,9 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "analysis/miss_profiler.hh"
+#include "experiments/workbench.hh"
 #include "model/batch_eval.hh"
 #include "model/first_order_model.hh"
 #include "model/kernels.hh"
@@ -134,7 +138,42 @@ TEST(Kernels, OverlapFactorBatchNoEventsIsUnity)
     EXPECT_EQ(out[1], 1.0);
 }
 
+/** Bit images of every CpiBreakdown field, then total() and ipc(). */
+std::array<std::uint64_t, 12>
+bitImage(const CpiBreakdown &b)
+{
+    return {std::bit_cast<std::uint64_t>(b.ideal),
+            std::bit_cast<std::uint64_t>(b.brmisp),
+            std::bit_cast<std::uint64_t>(b.icacheL1),
+            std::bit_cast<std::uint64_t>(b.icacheL2),
+            std::bit_cast<std::uint64_t>(b.dcacheLong),
+            std::bit_cast<std::uint64_t>(b.dtlb),
+            std::bit_cast<std::uint64_t>(b.branchPenaltyPerEvent),
+            std::bit_cast<std::uint64_t>(b.icachePenaltyPerEvent),
+            std::bit_cast<std::uint64_t>(b.dcachePenaltyPerEvent),
+            std::bit_cast<std::uint64_t>(b.ldmOverlapFactor),
+            std::bit_cast<std::uint64_t>(b.total()),
+            std::bit_cast<std::uint64_t>(b.ipc())};
+}
+
 /** evaluateBatch row i must equal the scalar model bit for bit. */
+void
+expectBatchMatchesScalar(const std::vector<IWCharacteristic> &iws,
+                         const std::vector<MachineConfig> &machines,
+                         const MissProfile &profile,
+                         const ModelOptions &options)
+{
+    const std::vector<CpiBreakdown> batch =
+        evaluateBatch(iws, machines, profile, options);
+    ASSERT_EQ(batch.size(), machines.size());
+    for (std::size_t i = 0; i < machines.size(); ++i) {
+        const CpiBreakdown scalar =
+            FirstOrderModel(machines[i], options)
+                .evaluate(iws[i], profile);
+        EXPECT_EQ(bitImage(batch[i]), bitImage(scalar)) << "row " << i;
+    }
+}
+
 void
 expectBatchMatchesScalar(const std::vector<MachineConfig> &machines,
                          const MissProfile &profile,
@@ -144,25 +183,7 @@ expectBatchMatchesScalar(const std::vector<MachineConfig> &machines,
     iws.reserve(machines.size());
     for (const MachineConfig &m : machines)
         iws.emplace_back(1.05, 0.51, profile.avgLatency, m.width);
-
-    const std::vector<CpiBreakdown> batch =
-        evaluateBatch(iws, machines, profile, options);
-    ASSERT_EQ(batch.size(), machines.size());
-    for (std::size_t i = 0; i < machines.size(); ++i) {
-        const CpiBreakdown scalar =
-            FirstOrderModel(machines[i], options)
-                .evaluate(iws[i], profile);
-        EXPECT_EQ(batch[i].ideal, scalar.ideal) << i;
-        EXPECT_EQ(batch[i].brmisp, scalar.brmisp) << i;
-        EXPECT_EQ(batch[i].icacheL1, scalar.icacheL1) << i;
-        EXPECT_EQ(batch[i].icacheL2, scalar.icacheL2) << i;
-        EXPECT_EQ(batch[i].dcacheLong, scalar.dcacheLong) << i;
-        EXPECT_EQ(batch[i].dtlb, scalar.dtlb) << i;
-        EXPECT_EQ(batch[i].total(), scalar.total()) << i;
-        EXPECT_EQ(batch[i].ipc(), scalar.ipc()) << i;
-        EXPECT_EQ(batch[i].ldmOverlapFactor, scalar.ldmOverlapFactor)
-            << i;
-    }
+    expectBatchMatchesScalar(iws, machines, profile, options);
 }
 
 std::vector<MachineConfig>
@@ -224,6 +245,37 @@ TEST(BatchEval, EmptyBatchYieldsNoRows)
                               ModelOptions{})
                     .empty());
 }
+
+/**
+ * The 0-ULP kernel gate, run by name in CI: the served /v1/batch
+ * inner loop on the Workbench gzip characterization at the default
+ * trace length. Row i is the baseline machine with deltaD = 100 + 10i,
+ * and every 7th row also gets a 64, 128 or 256-entry ROB.
+ */
+class BatchEvalGate : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(BatchEvalGate, RowsMatchScalarBitForBit)
+{
+    static Workbench bench;
+    const WorkloadData &data = bench.workload("gzip");
+    const std::size_t rows = GetParam();
+    std::vector<MachineConfig> machines;
+    for (std::size_t i = 0; i < rows; ++i) {
+        MachineConfig m = Workbench::baselineMachine();
+        m.deltaD = static_cast<std::uint32_t>(100 + 10 * i);
+        if (i % 7 == 0)
+            m.robSize = 64u << (i % 3);
+        machines.push_back(m);
+    }
+    expectBatchMatchesScalar(
+        std::vector<IWCharacteristic>(rows, data.iw), machines,
+        data.missProfile, ModelOptions{});
+}
+
+INSTANTIATE_TEST_SUITE_P(Gzip, BatchEvalGate,
+                         ::testing::Values(64, 1024));
 
 } // namespace
 } // namespace fosm

@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "repl/codec.hh"
+#include "store/codec.hh"
+#include "store/crc32c.hh"
 
 namespace fosm::repl {
 namespace {
@@ -122,6 +124,25 @@ TEST(ReplCodec, GarbageAndEmptyInputRejected)
     EXPECT_FALSE(decodeBatch("NOTAFRAME", out, error));
     EXPECT_FALSE(
         decodeBatch(std::string(1024, '\0'), out, error));
+}
+
+TEST(ReplCodec, EntryCountBeyondTheFrameRejectedBeforeReserving)
+{
+    // A 42-byte frame (origin "x", no entries) whose count field
+    // claims 0xFFFFFFFF entries, CRC recomputed so the frame is
+    // otherwise valid. Reserving that count would throw bad_alloc.
+    Batch in;
+    in.origin = "x";
+    std::string wire = encodeBatch(in);
+    ASSERT_EQ(wire.size(), 42u);
+    store::putU32(wire.data() + 16, 0xFFFFFFFFu);
+    store::putU32(wire.data() + 12,
+                  store::crc32c(wire.data() + 16, wire.size() - 16));
+    Batch out;
+    std::string error;
+    bool decoded = true;
+    EXPECT_NO_THROW(decoded = decodeBatch(wire, out, error));
+    EXPECT_FALSE(decoded);
 }
 
 } // namespace

@@ -23,6 +23,14 @@ struct Golden
     std::uint64_t longMisses;
 };
 
+/** Name the parameter by its profile: the struct's raw bytes hold a
+ *  pointer, which would change the test names on every run. */
+void
+PrintTo(const Golden &g, std::ostream *os)
+{
+    *os << g.bench;
+}
+
 class GoldenValues : public ::testing::TestWithParam<Golden>
 {
 };

@@ -226,5 +226,186 @@ TEST(FairQueue, ConcurrentPushPopDeliversEverythingOnce)
         EXPECT_EQ(s, 1);
 }
 
+// The single-queue contract the HTTP worker pool relies on, with
+// every item in the default class: bounded FIFO admission, blocking
+// pops, batch drains and the close/drain exit.
+
+TEST(FairQueue, FifoOrder)
+{
+    FairQueue<int> q(4);
+    EXPECT_TRUE(q.tryPush(1));
+    EXPECT_TRUE(q.tryPush(2));
+    EXPECT_TRUE(q.tryPush(3));
+    int out = 0;
+    EXPECT_TRUE(q.pop(out));
+    EXPECT_EQ(out, 1);
+    EXPECT_TRUE(q.pop(out));
+    EXPECT_EQ(out, 2);
+    EXPECT_TRUE(q.pop(out));
+    EXPECT_EQ(out, 3);
+    EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(FairQueue, TryPushRejectsWhenFull)
+{
+    FairQueue<int> q(2);
+    EXPECT_TRUE(q.tryPush(1));
+    EXPECT_TRUE(q.tryPush(2));
+    EXPECT_FALSE(q.tryPush(3)); // full: the 503 path
+    int out = 0;
+    EXPECT_TRUE(q.pop(out));
+    EXPECT_TRUE(q.tryPush(3)); // room again
+}
+
+TEST(FairQueue, TryPushRejectsWhenClosed)
+{
+    FairQueue<int> q(4);
+    q.close();
+    EXPECT_FALSE(q.tryPush(1));
+    EXPECT_TRUE(q.closed());
+}
+
+TEST(FairQueue, CloseDrainsQueuedItems)
+{
+    FairQueue<int> q(4);
+    EXPECT_TRUE(q.tryPush(10));
+    EXPECT_TRUE(q.tryPush(11));
+    q.close();
+    int out = 0;
+    EXPECT_TRUE(q.pop(out));
+    EXPECT_EQ(out, 10);
+    EXPECT_TRUE(q.pop(out));
+    EXPECT_EQ(out, 11);
+    EXPECT_FALSE(q.pop(out)); // closed and drained: consumer exits
+}
+
+TEST(FairQueue, PopBlocksUntilPush)
+{
+    FairQueue<int> q(1);
+    std::atomic<int> got{0};
+    std::thread consumer([&] {
+        int out = 0;
+        if (q.pop(out))
+            got.store(out);
+    });
+    // Give the consumer a moment to block, then feed it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_TRUE(q.tryPush(42));
+    consumer.join();
+    EXPECT_EQ(got.load(), 42);
+}
+
+TEST(FairQueue, CloseWakesBlockedConsumers)
+{
+    FairQueue<int> q(1);
+    std::atomic<int> exited{0};
+    std::vector<std::thread> consumers;
+    for (int i = 0; i < 3; ++i) {
+        consumers.emplace_back([&] {
+            int out = 0;
+            while (q.pop(out)) {
+            }
+            exited.fetch_add(1);
+        });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    q.close();
+    for (std::thread &t : consumers)
+        t.join();
+    EXPECT_EQ(exited.load(), 3);
+}
+
+TEST(FairQueue, PopBatchDrainsUpToMaxInFifoOrder)
+{
+    FairQueue<int> q(16);
+    for (int i = 0; i < 10; ++i)
+        ASSERT_TRUE(q.tryPush(i));
+
+    std::vector<int> batch;
+    ASSERT_TRUE(q.popBatch(batch, 4));
+    EXPECT_EQ(batch, (std::vector<int>{0, 1, 2, 3}));
+    ASSERT_TRUE(q.popBatch(batch, 4));
+    EXPECT_EQ(batch, (std::vector<int>{4, 5, 6, 7}));
+    // Fewer than max left: the batch is just smaller.
+    ASSERT_TRUE(q.popBatch(batch, 4));
+    EXPECT_EQ(batch, (std::vector<int>{8, 9}));
+    EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(FairQueue, PopBatchBlocksThenReturnsFalseWhenClosedEmpty)
+{
+    FairQueue<int> q(4);
+    std::vector<int> batch{99}; // stale content must be cleared
+    std::thread producer([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        q.tryPush(7);
+    });
+    ASSERT_TRUE(q.popBatch(batch, 8));
+    EXPECT_EQ(batch, (std::vector<int>{7}));
+    producer.join();
+
+    q.close();
+    ASSERT_FALSE(q.popBatch(batch, 8));
+    EXPECT_TRUE(batch.empty());
+}
+
+TEST(FairQueue, PopBatchDrainsRemainderAfterClose)
+{
+    FairQueue<int> q(8);
+    for (int i = 0; i < 5; ++i)
+        ASSERT_TRUE(q.tryPush(i));
+    q.close();
+    std::vector<int> batch;
+    ASSERT_TRUE(q.popBatch(batch, 3));
+    EXPECT_EQ(batch, (std::vector<int>{0, 1, 2}));
+    ASSERT_TRUE(q.popBatch(batch, 3));
+    EXPECT_EQ(batch, (std::vector<int>{3, 4}));
+    EXPECT_FALSE(q.popBatch(batch, 3));
+}
+
+TEST(FairQueue, ManyProducersManyConsumers)
+{
+    constexpr int producers = 4;
+    constexpr int consumers = 4;
+    constexpr int perProducer = 2000;
+    FairQueue<int> q(64);
+    std::atomic<std::uint64_t> consumedSum{0};
+    std::atomic<std::uint64_t> consumedCount{0};
+
+    std::vector<std::thread> threads;
+    for (int c = 0; c < consumers; ++c) {
+        threads.emplace_back([&] {
+            int out = 0;
+            while (q.pop(out)) {
+                consumedSum.fetch_add(out);
+                consumedCount.fetch_add(1);
+            }
+        });
+    }
+    std::uint64_t producedSum = 0;
+    std::vector<std::thread> prod;
+    std::atomic<std::uint64_t> producedAtomic{0};
+    for (int p = 0; p < producers; ++p) {
+        prod.emplace_back([&, p] {
+            for (int i = 0; i < perProducer; ++i) {
+                const int item = p * perProducer + i;
+                while (!q.tryPush(item))
+                    std::this_thread::yield();
+                producedAtomic.fetch_add(item);
+            }
+        });
+    }
+    for (std::thread &t : prod)
+        t.join();
+    producedSum = producedAtomic.load();
+    q.close();
+    for (std::thread &t : threads)
+        t.join();
+
+    EXPECT_EQ(consumedCount.load(),
+              static_cast<std::uint64_t>(producers * perProducer));
+    EXPECT_EQ(consumedSum.load(), producedSum);
+}
+
 } // namespace
 } // namespace fosm::tenant
