@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <limits>
 #include <map>
 #include <random>
 #include <thread>
@@ -37,19 +36,6 @@ jitterMs(int limitMs)
     if (limitMs <= 0)
         return 0;
     return static_cast<int>(rng() % (limitMs + 1));
-}
-
-int
-millisLeft(Clock::time_point deadline)
-{
-    const auto left =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            deadline - Clock::now())
-            .count();
-    if (left <= 0)
-        return 0;
-    return static_cast<int>(std::min<long long>(
-        left, std::numeric_limits<int>::max()));
 }
 
 /** The first Retry-After value on a response, or empty. */
@@ -284,7 +270,7 @@ Gateway::exchangeWithHedge(Backend &primary, Backend *hedgeTarget,
     const auto wireFor = [&](const Backend &b) {
         std::vector<std::pair<std::string, std::string>> extra{
             {server::deadlineHeader,
-             std::to_string(millisLeft(deadline))}};
+             std::to_string(server::millisLeft(deadline))}};
         if (!contentType.empty())
             extra.emplace_back("Content-Type", contentType);
         for (const auto &header : extraHeaders)
@@ -337,7 +323,7 @@ Gateway::exchangeWithHedge(Backend &primary, Backend *hedgeTarget,
         const bool canHedge = !hedged && hedgeTarget;
         if (canHedge && hedgeAt < wakeAt)
             wakeAt = hedgeAt;
-        const int waitMs = millisLeft(wakeAt);
+        const int waitMs = server::millisLeft(wakeAt);
         const int ready = ::poll(pfds, n, waitMs);
 
         if (ready > 0) {

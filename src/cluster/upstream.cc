@@ -23,16 +23,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-int
-millisLeft(Clock::time_point deadline)
-{
-    const auto left =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            deadline - Clock::now())
-            .count();
-    return left > 0 ? static_cast<int>(left) : 0;
-}
-
 /**
  * Non-blocking connect with a deadline: dial, poll for writability,
  * then confirm with SO_ERROR. The socket stays non-blocking — every
@@ -574,7 +564,7 @@ blockingExchange(Backend &backend, const std::string &method,
         Clock::now() + std::chrono::milliseconds(timeoutMs);
     while (call.state() == UpstreamCall::State::Receiving) {
         pollfd pfd{call.fd(), POLLIN, 0};
-        const int left = millisLeft(deadline);
+        const int left = server::millisLeft(deadline);
         if (left == 0 || ::poll(&pfd, 1, left) <= 0)
             return false;
         call.onReadable();

@@ -33,13 +33,6 @@ inline constexpr std::uint32_t modelSchemaVersion = 1;
 inline constexpr std::uint32_t characterizationFormatVersion = 1;
 
 /**
- * Version of the binary encoding used for persisted trend-study rows
- * ("t/" keys, server/trend_studies.cc). Bump when the row layout or
- * the trend computations change; old entries then miss by key.
- */
-inline constexpr std::uint32_t trendRowFormatVersion = 1;
-
-/**
  * Version of the application/x-fosm-batch wire format the gateway
  * speaks to backends for /v1/batch (server/batch.hh). Carried in
  * every frame; a receiver rejects frames from a different vintage

@@ -10,9 +10,9 @@
  * kernels.
  *
  * The planner is deliberately dumb about *what* the computations are
- * — probes and characterization keys are caller lambdas — so the
- * /v1/optimize endpoint and the /v1/trends rows share it without
- * src/opt depending on the server or store layers.
+ * — probes and characterization keys are caller lambdas — so
+ * /v1/optimize and /v1/batch share it without src/opt depending on
+ * the server or store layers.
  */
 
 #ifndef FOSM_OPT_PLANNER_HH
@@ -69,10 +69,8 @@ struct SweepPlan
  *
  * `probe(i)` returns true when point i is already answered (and may
  * side-effect the answer into the caller's result slot). `charKey(i)`
- * maps a point to its characterization equivalence class; pass
- * nullptr when the sweep has no characterization stage to dedupe.
- * `batchRows` bounds the size of each evaluation batch (0 = one
- * batch for everything).
+ * maps a point to its characterization equivalence class.
+ * `batchRows` (> 0) bounds the size of each evaluation batch.
  */
 SweepPlan planSweep(std::size_t points,
                     const std::function<bool(std::size_t)> &probe,

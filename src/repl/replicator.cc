@@ -231,8 +231,7 @@ Replicator::stop(int deadlineMs)
 bool
 Replicator::replicable(std::string_view key)
 {
-    return key.rfind("r/", 0) == 0 || key.rfind("c/", 0) == 0 ||
-           key.rfind("t/", 0) == 0;
+    return key.rfind("r/", 0) == 0 || key.rfind("c/", 0) == 0;
 }
 
 std::uint64_t
@@ -334,9 +333,10 @@ Replicator::drainOnce()
             chunk.push_back(std::move(queue_.front()));
             queue_.pop_front();
         }
+        if (chunk.empty())
+            return false;
+        ++inFlight_;
     }
-    if (chunk.empty())
-        return false;
 
     // Fan each entry out to the other members of its preference
     // list (owner-computed entries go to the successors; an entry
@@ -361,7 +361,8 @@ Replicator::drainOnce()
 
     {
         std::lock_guard<std::mutex> lock(queueMutex_);
-        if (queue_.empty())
+        --inFlight_;
+        if (queue_.empty() && inFlight_ == 0)
             drainCv_.notify_all();
     }
     return true;
@@ -409,7 +410,7 @@ Replicator::flush(int deadlineMs)
     std::unique_lock<std::mutex> lock(queueMutex_);
     return drainCv_.wait_for(
         lock, std::chrono::milliseconds(deadlineMs),
-        [this] { return queue_.empty(); });
+        [this] { return queue_.empty() && inFlight_ == 0; });
 }
 
 // -- Anti-entropy --------------------------------------------------

@@ -9,9 +9,9 @@
  * best-effort, with anti-entropy as the catch-all repair:
  *
  *  - Write-behind: the store's commit hook enqueues every committed
- *    r/ (response), c/ (characterization) and t/ (trend row) entry;
- *    a background worker batches them and POSTs binary frames to the
- *    other members of the key's preference list (the owner plus the
+ *    r/ (response) and c/ (characterization) entry; a background
+ *    worker batches them and POSTs binary frames to the other
+ *    members of the key's preference list (the owner plus the
  *    next N-1 distinct successors on the ring, the same route() the
  *    gateway walks on failover — so the node the gateway fails over
  *    to is exactly the node that holds the copy).
@@ -169,7 +169,8 @@ class Replicator
 
     /**
      * Synchronously drain the write-behind queue (up to deadlineMs).
-     * Returns true when the queue emptied. The drain-with-flush
+     * Returns true when the queue emptied and its last batch was
+     * sent (or failed). The drain-with-flush
      * handoff: call before retiring a node so its successors hold
      * everything it computed.
      */
@@ -291,6 +292,7 @@ class Replicator
     std::condition_variable drainCv_;  ///< wakes flush() waiters
     std::deque<Pending> queue_;
     std::size_t queueBytes_ = 0;
+    std::size_t inFlight_ = 0; ///< chunks popped but not yet sent
     bool stopping_ = false;
     bool started_ = false;
     std::thread worker_;

@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -41,15 +42,22 @@ HttpRequest::path() const
 }
 
 int
-HttpRequest::deadlineRemainingMs() const
+millisLeft(std::chrono::steady_clock::time_point deadline)
 {
-    if (!hasDeadline())
-        return -1;
     const auto left =
         std::chrono::duration_cast<std::chrono::milliseconds>(
             deadline - std::chrono::steady_clock::now())
             .count();
-    return left > 0 ? static_cast<int>(left) : 0;
+    if (left <= 0)
+        return 0;
+    return static_cast<int>(std::min<long long>(
+        left, std::numeric_limits<int>::max()));
+}
+
+int
+HttpRequest::deadlineRemainingMs() const
+{
+    return hasDeadline() ? millisLeft(deadline) : -1;
 }
 
 void

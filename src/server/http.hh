@@ -80,6 +80,10 @@ struct HttpRequest
 /** The request header that carries a relative deadline budget. */
 inline constexpr const char *deadlineHeader = "X-Fosm-Deadline-Ms";
 
+/** Milliseconds until a steady-clock deadline, clamped to
+ *  [0, INT_MAX]. */
+int millisLeft(std::chrono::steady_clock::time_point deadline);
+
 /**
  * Parse X-Fosm-Deadline-Ms (non-negative integer milliseconds,
  * capped at one hour) and stamp request.deadline relative to now.

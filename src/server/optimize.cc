@@ -36,14 +36,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "common/thread_pool.hh"
-#include "model/batch_eval.hh"
 #include "opt/pareto.hh"
-#include "opt/planner.hh"
 #include "opt/space.hh"
-#include "server/cpi_response.hh"
 #include "server/params.hh"
 
 namespace fosm::server {
@@ -377,7 +373,7 @@ ModelService::optimizeEvaluate(const json::Value &body,
     const std::vector<Objective> objectives = parseObjectives(body);
 
     // -- Enumerate + plan -----------------------------------------
-    const opt::EnumeratedSpace space = opt::enumerate(spec);
+    opt::EnumeratedSpace space = opt::enumerate(spec);
     const std::size_t n = space.machines.size();
     if (n == 0) {
         throw ServiceError(
@@ -388,75 +384,32 @@ ModelService::optimizeEvaluate(const json::Value &body,
     optSpaces_.inc();
     optPointsPlanned_.inc(n);
 
-    const WorkloadData &data = bench_.workload(workload);
-    const bool useCache = config_.cacheCapacity > 0;
-    const bool keyed = useCache || persistent_ != nullptr;
+    DesignPoints points;
+    points.workload = workload;
+    points.data = &bench_.workload(workload);
+    points.options = options;
+    points.machines = std::move(space.machines);
 
-    // Per-point /v1/cpi digest: workload + machine (baseline
-    // overrides layered with this point's axis values) + options —
-    // exactly batch::mergedRowBody's shape, so optimize, /v1/batch
-    // and /v1/cpi share cache entries.
-    std::vector<std::string> keys(n);
-    if (keyed) {
-        const json::Value *optionsSpec = body.find("options");
-        for (std::size_t i = 0; i < n; ++i) {
-            json::Value row = json::Value::object();
-            row.set("workload", workload);
-            if (machineSpec || !spec.axes.empty()) {
-                json::Value machine = machineSpec
-                                          ? *machineSpec
-                                          : json::Value::object();
-                for (const opt::AxisSpec &axis : spec.axes) {
-                    machine.set(axis.name,
-                                opt::machineMember(
-                                    space.machines[i], axis.name));
-                }
-                row.set("machine", std::move(machine));
-            }
-            if (optionsSpec)
-                row.set("options", *optionsSpec);
-            keys[i] = cacheKey("/v1/cpi", row);
-        }
+    // Per-point /v1/cpi digest: the point's axis values are a batch
+    // row over the request's machine and options blocks, so
+    // optimize, /v1/batch and /v1/cpi share cache entries.
+    batch::Request rowShape;
+    rowShape.workload = workload;
+    if (machineSpec)
+        rowShape.sharedMachine = *machineSpec;
+    if (const json::Value *optionsSpec = body.find("options"))
+        rowShape.sharedOptions = *optionsSpec;
+    points.keys.reserve(n);
+    for (const MachineConfig &machine : points.machines) {
+        json::Value row = json::Value::object();
+        for (const opt::AxisSpec &axis : spec.axes)
+            row.set(axis.name, opt::machineMember(machine, axis.name));
+        points.keys.push_back(
+            cacheKey("/v1/cpi", batch::mergedRowBody(rowShape, row)));
     }
 
-    std::vector<std::array<double, 8>> cols(n);
-    const auto probe = [&](std::size_t i) -> bool {
-        if (!keyed)
-            return false;
-        std::string cached;
-        if (useCache && cache_.get(keys[i], cached)) {
-            cacheHits_.inc();
-            if (extractColumns(cached, cols[i]))
-                return true;
-        }
-        if (useCache)
-            cacheMisses_.inc();
-        if (persistent_ && persistent_->get(keys[i], cached)) {
-            storeRefills_.inc();
-            if (useCache)
-                cache_.put(keys[i], cached);
-            if (extractColumns(cached, cols[i]))
-                return true;
-        }
-        return false;
-    };
-    const auto charKey = [&](std::size_t i) -> std::uint64_t {
-        return space.machines[i].width;
-    };
-    const opt::SweepPlan plan =
-        opt::planSweep(n, probe, charKey, kOptBatchRows);
+    const opt::SweepPlan plan = planPoints(points, kOptBatchRows);
     optPointsDeduped_.inc(plan.stats.cacheHits);
-
-    // One IW fit per distinct width across the whole space — the
-    // characterization sharing the planner exists for.
-    std::map<std::uint32_t, IWCharacteristic> fitByWidth;
-    for (const std::uint64_t width : plan.characterizationKeys) {
-        fitByWidth.emplace(
-            static_cast<std::uint32_t>(width),
-            Workbench::fitIw(data.iwPoints,
-                             data.missProfile.avgLatency,
-                             static_cast<std::uint32_t>(width)));
-    }
     optIwFits_.inc(plan.characterizationKeys.size());
 
     // -- Evaluate in deterministic waves --------------------------
@@ -467,37 +420,6 @@ ModelService::optimizeEvaluate(const json::Value &body,
     std::vector<char> evaluated(n, 0);
     for (const std::size_t i : plan.cached)
         evaluated[i] = 1;
-    const auto evalBatch = [&](const std::vector<std::size_t>
-                                   &batch) {
-        std::vector<IWCharacteristic> iws;
-        std::vector<MachineConfig> machines;
-        iws.reserve(batch.size());
-        machines.reserve(batch.size());
-        for (const std::size_t i : batch) {
-            machines.push_back(space.machines[i]);
-            iws.push_back(fitByWidth.at(space.machines[i].width));
-        }
-        const std::vector<CpiBreakdown> bs =
-            evaluateBatch(iws, machines, data.missProfile, options);
-        for (std::size_t k = 0; k < batch.size(); ++k) {
-            const std::size_t i = batch[k];
-            const CpiBreakdown &b = bs[k];
-            cols[i] = {b.ideal,      b.brmisp,  b.icacheL1,
-                       b.icacheL2,   b.dcacheLong,
-                       b.dtlb,       b.total(), b.ipc()};
-            if (keyed) {
-                const std::string text =
-                    cpiResponseJson(workload, data, machines[k],
-                                    iws[k], b)
-                        .dump();
-                if (useCache)
-                    cache_.put(keys[i], text);
-                if (persistent_)
-                    persistent_->put(keys[i], text);
-            }
-        }
-        evaluations_.inc(batch.size());
-    };
 
     const std::size_t wave =
         std::max<std::size_t>(1, ThreadPool::global().size());
@@ -511,7 +433,7 @@ ModelService::optimizeEvaluate(const json::Value &body,
         const std::size_t count =
             std::min(wave, plan.batches.size() - base);
         parallelMapIndex(count, [&](std::size_t i) {
-            evalBatch(plan.batches[base + i]);
+            evaluatePoints(points, plan.batches[base + i]);
             return 0;
         });
         for (std::size_t i = 0; i < count; ++i)
@@ -543,7 +465,7 @@ ModelService::optimizeEvaluate(const json::Value &body,
     std::vector<double> vars(objectiveVariableNames().size(), 0.0);
     for (std::size_t a = 0; a < alive.size(); ++a) {
         const std::size_t i = alive[a];
-        bindObjectiveVars(space.machines[i], cols[i], vars);
+        bindObjectiveVars(points.machines[i], points.cols[i], vars);
         rawValues[a].reserve(nObj);
         for (std::size_t k = 0; k < nObj; ++k) {
             const double v = objectives[k].expr.eval(vars);
@@ -584,13 +506,14 @@ ModelService::optimizeEvaluate(const json::Value &body,
     out.set("complete", complete);
     json::Value frontierOut = json::Value::array();
     for (const std::size_t f : frontier) {
-        frontierOut.push(pointJson(space.machines[alive[f]],
-                                   cols[alive[f]], rawValues[f]));
+        frontierOut.push(pointJson(points.machines[alive[f]],
+                                   points.cols[alive[f]],
+                                   rawValues[f]));
     }
     out.set("frontier", std::move(frontierOut));
     if (!frontier.empty()) {
-        out.set("best", pointJson(space.machines[alive[best]],
-                                  cols[alive[best]],
+        out.set("best", pointJson(points.machines[alive[best]],
+                                  points.cols[alive[best]],
                                   rawValues[best]));
     }
     json::Value planOut = json::Value::object();

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
-#include <map>
 
 #include "common/fault_injector.hh"
 #include "common/thread_pool.hh"
@@ -175,7 +173,6 @@ ModelService::ModelService(ServiceConfig config,
             std::make_unique<PersistentResponseCache>(store_);
         bench_.setCharacterizationStore(
             std::make_shared<CharacterizationStore>(store_));
-        trends_.setStore(store_);
 
         metrics_.addCallbackGauge(
             "fosm_store_live_records",
@@ -226,13 +223,6 @@ ModelService::ModelService(ServiceConfig config,
     metrics_.addCallbackGauge(
         "fosm_cache_hit_rate", "Lifetime cache hit fraction",
         [this] { return cache_.hitRate(); });
-    metrics_.addCallbackGauge(
-        "fosm_trend_memo_rows", "Memoized trend-study rows",
-        [this] { return static_cast<double>(trends_.size()); });
-    metrics_.addCallbackGauge(
-        "fosm_trend_row_computes_total",
-        "Trend rows computed (memo and store both missed)",
-        [this] { return static_cast<double>(trends_.computes()); });
 
     router_.addJson("POST", "/v1/cpi",
                     [this](const json::Value &request) {
@@ -301,13 +291,6 @@ ModelService::storeStats() const
 {
     json::Value v = json::Value::object();
     v.set("enabled", static_cast<bool>(store_));
-    json::Value memo = json::Value::object();
-    memo.set("trendRows", static_cast<std::uint64_t>(trends_.size()));
-    memo.set("trendHits", trends_.memoHits());
-    memo.set("trendMisses", trends_.memoMisses());
-    memo.set("trendStoreHits", trends_.storeHits());
-    memo.set("trendComputes", trends_.computes());
-    v.set("memo", std::move(memo));
     if (!store_)
         return v;
     const store::StoreStats s = store_->stats();
@@ -406,19 +389,8 @@ ModelService::handler()
                 json::parse(request.body, body, &error)) {
                 const std::string key = cacheKey(path, body);
                 std::string cached;
-                if (cache_.get(key, cached)) {
-                    cacheHits_.inc();
+                if (cacheGet(key, cached))
                     return HttpResponse::json(200, cached);
-                }
-                cacheMisses_.inc();
-                // Second tier: the persistent store. A hit serves
-                // the byte-identical response a previous process
-                // computed, and repopulates the LRU.
-                if (persistent_ && persistent_->get(key, cached)) {
-                    storeRefills_.inc();
-                    cache_.put(key, cached);
-                    return HttpResponse::json(200, cached);
-                }
                 // Both caches missed, so real evaluation is next.
                 // If the budget is already spent the waiter has
                 // timed out; don't burn the cycles.
@@ -430,17 +402,103 @@ ModelService::handler()
                             "deadline exceeded before evaluation"));
                 }
                 HttpResponse response = router_.route(request);
-                if (response.status == 200) {
-                    cache_.put(key, response.body);
-                    if (persistent_)
-                        persistent_->put(key, response.body);
-                }
+                if (response.status == 200)
+                    cachePut(key, response.body);
                 return response;
             }
             // Malformed body: let the router produce the 400.
         }
         return router_.route(request);
     };
+}
+
+bool
+ModelService::cacheGet(const std::string &key, std::string &value)
+{
+    if (cache_.get(key, value)) {
+        cacheHits_.inc();
+        return true;
+    }
+    cacheMisses_.inc();
+    // Second tier: the persistent store. A hit serves the
+    // byte-identical response a previous process computed, and
+    // repopulates the LRU.
+    if (persistent_ && persistent_->get(key, value)) {
+        storeRefills_.inc();
+        cache_.put(key, value);
+        return true;
+    }
+    return false;
+}
+
+void
+ModelService::cachePut(const std::string &key, const std::string &value)
+{
+    cache_.put(key, value);
+    if (persistent_)
+        persistent_->put(key, value);
+}
+
+opt::SweepPlan
+ModelService::planPoints(DesignPoints &points, std::size_t batchRows)
+{
+    points.cols.resize(points.machines.size());
+    const opt::SweepPlan plan = opt::planSweep(
+        points.machines.size(),
+        [&](std::size_t i) {
+            std::string text;
+            return cacheGet(points.keys[i], text) &&
+                   extractColumns(text, points.cols[i]);
+        },
+        [&](std::size_t i) -> std::uint64_t {
+            return points.machines[i].width;
+        },
+        batchRows);
+    // The IW fit depends only on the workload and the width: one fit
+    // per distinct width the misses need, shared by every batch.
+    for (const std::uint64_t key : plan.characterizationKeys) {
+        const auto width = static_cast<std::uint32_t>(key);
+        points.fits.emplace(
+            width, Workbench::fitIw(points.data->iwPoints,
+                                    points.data->missProfile.avgLatency,
+                                    width));
+    }
+    return plan;
+}
+
+void
+ModelService::evaluatePoints(DesignPoints &points,
+                             const std::vector<std::size_t> &batch)
+{
+    std::vector<IWCharacteristic> iws;
+    std::vector<MachineConfig> machines;
+    iws.reserve(batch.size());
+    machines.reserve(batch.size());
+    for (const std::size_t i : batch) {
+        machines.push_back(points.machines[i]);
+        iws.push_back(points.fits.at(points.machines[i].width));
+    }
+    const WorkloadData &data = *points.data;
+    const std::vector<CpiBreakdown> bs =
+        evaluateBatch(iws, machines, data.missProfile, points.options);
+    evaluations_.inc(batch.size());
+    const bool caching = cache_.capacity() > 0 || persistent_;
+    for (std::size_t k = 0; k < batch.size(); ++k) {
+        const std::size_t i = batch[k];
+        const CpiBreakdown &b = bs[k];
+        points.cols[i] = {b.ideal,      b.brmisp, b.icacheL1,
+                          b.icacheL2,   b.dcacheLong,
+                          b.dtlb,       b.total(), b.ipc()};
+        // Write the full single-request response through the caches
+        // so a later /v1/cpi for this design point is a
+        // byte-identical hit.
+        if (caching) {
+            cachePut(points.keys[i],
+                     cpiResponseJson(points.workload, data,
+                                     machines[k], iws[k], b)
+                         .dump());
+        }
+    }
 }
 
 json::Value
@@ -534,22 +592,21 @@ ModelService::trends(const json::Value &request)
     out.set("study", study);
     json::Value series = json::Value::array();
 
+    // One row per width, computed over the global pool; rows land in
+    // input order.
+    std::vector<json::Value> rows;
     if (study == "pipeline-depth") {
         std::vector<std::uint32_t> depths =
             intArrayMember(request, "depths", {}, 1, 200, 256);
         if (depths.empty())
             for (std::uint32_t d = 1; d <= 30; ++d)
                 depths.push_back(d);
-        // Planner-driven sweep: every (width, depths, config) row is
-        // probed against the memo and the persistent store before
-        // anything is scheduled; only the misses fan out over the
-        // global pool, in input order.
-        const auto rows = trends_.depthRows(widths, depths, config);
-        for (std::size_t i = 0; i < widths.size(); ++i) {
+        rows = parallelMap(widths, [&](std::uint32_t width) {
             json::Value entry = json::Value::object();
-            entry.set("width", widths[i]);
+            entry.set("width", width);
             json::Value points = json::Value::array();
-            for (const PipelineDepthPoint &p : rows[i].points) {
+            for (const PipelineDepthPoint &p :
+                 pipelineDepthSweep(width, depths, config)) {
                 json::Value point = json::Value::object();
                 point.set("depth", p.depth);
                 point.set("ipc", p.ipc);
@@ -558,12 +615,14 @@ ModelService::trends(const json::Value &request)
                 points.push(std::move(point));
             }
             entry.set("points", std::move(points));
+            const PipelineDepthPoint optimal =
+                optimalPipelineDepth(width, config);
             json::Value best = json::Value::object();
-            best.set("depth", rows[i].optimal.depth);
-            best.set("bips", rows[i].optimal.bips);
+            best.set("depth", optimal.depth);
+            best.set("bips", optimal.bips);
             entry.set("optimal", std::move(best));
-            series.push(std::move(entry));
-        }
+            return entry;
+        });
     } else if (study == "issue-width") {
         std::vector<double> fractions = {0.5, 0.8, 0.9, 0.95, 0.99};
         if (const json::Value *f = request.find("fractions")) {
@@ -582,13 +641,12 @@ ModelService::trends(const json::Value &request)
                 fractions.push_back(item.asDouble());
             }
         }
-        const auto rows =
-            trends_.widthRows(widths, fractions, config);
-        for (std::size_t i = 0; i < widths.size(); ++i) {
+        rows = parallelMap(widths, [&](std::uint32_t width) {
             json::Value entry = json::Value::object();
-            entry.set("width", widths[i]);
+            entry.set("width", width);
             json::Value points = json::Value::array();
-            for (const SaturationPoint &p : rows[i].saturation) {
+            for (const SaturationPoint &p :
+                 issueWidthRequirement(width, fractions, config)) {
                 json::Value point = json::Value::object();
                 point.set("timeFraction", p.timeFraction);
                 point.set("instructionsBetween",
@@ -597,15 +655,17 @@ ModelService::trends(const json::Value &request)
             }
             entry.set("points", std::move(points));
             json::Value ramp = json::Value::array();
-            for (const double rate : rows[i].issueRamp)
+            for (const double rate : issueRampSeries(width, config))
                 ramp.push(rate);
             entry.set("issueRamp", std::move(ramp));
-            series.push(std::move(entry));
-        }
+            return entry;
+        });
     } else {
         badRequest("unknown study '" + study +
                    "'; valid: pipeline-depth, issue-width");
     }
+    for (json::Value &entry : rows)
+        series.push(std::move(entry));
     out.set("series", std::move(series));
     return out;
 }
@@ -615,131 +675,62 @@ ModelService::batchEvaluate(const json::Value &body,
                             const HttpRequest *request)
 {
     const batch::Request req = batch::parseRequest(body);
+    DesignPoints points;
+    points.workload = req.workload;
     // Shared options are request-level input: malformed options fail
     // the whole batch (every row would carry the same error).
-    const ModelOptions options = optionsFromJson(body);
+    points.options = optionsFromJson(body);
     // The one characterization lookup the whole batch shares.
-    const WorkloadData &data = bench_.workload(req.workload);
+    points.data = &bench_.workload(req.workload);
 
+    // Validate every row first. A row that fails becomes an error
+    // slot; the rest are design points under their single-request
+    // digest, and rowOf maps each point back to its row.
     const std::size_t n = req.rows.size();
     std::vector<std::string> rowError(n);
-    std::vector<std::array<double, 8>> cols(n);
-    std::vector<std::size_t> evalRows;
-    std::vector<MachineConfig> evalMachines;
-    std::vector<std::string> evalKeys;
-
-    const bool useCache = config_.cacheCapacity > 0;
-    const bool keyed = useCache || persistent_ != nullptr;
-
-    // Pass 1: validate each row and consult the response caches
-    // under the row's single-request digest. A row that fails
-    // validation becomes an error slot; everything else is either
-    // answered from cache or queued for evaluation.
+    std::vector<std::size_t> rowOf;
     for (std::size_t i = 0; i < n; ++i) {
         try {
             const json::Value merged =
                 batch::mergedRowBody(req, req.rows[i]);
-            const MachineConfig machine = machineFromJson(merged);
-            std::string key;
-            if (keyed) {
-                key = cacheKey("/v1/cpi", merged);
-                std::string cached;
-                if (useCache && cache_.get(key, cached)) {
-                    cacheHits_.inc();
-                    if (extractColumns(cached, cols[i]))
-                        continue;
-                }
-                if (useCache)
-                    cacheMisses_.inc();
-                if (persistent_ && persistent_->get(key, cached)) {
-                    storeRefills_.inc();
-                    if (useCache)
-                        cache_.put(key, cached);
-                    if (extractColumns(cached, cols[i]))
-                        continue;
-                }
-            }
-            evalRows.push_back(i);
-            evalMachines.push_back(machine);
-            evalKeys.push_back(std::move(key));
+            points.machines.push_back(machineFromJson(merged));
+            points.keys.push_back(cacheKey("/v1/cpi", merged));
+            rowOf.push_back(i);
         } catch (const ServiceError &e) {
             rowError[i] = e.what();
         }
     }
 
-    // Pass 2: evaluate the misses through the batched kernels, in
-    // chunks so an expired deadline sheds the remaining rows instead
-    // of finishing a batch nobody is waiting for. The IW fit is
-    // memoized per distinct width (it only depends on the width and
-    // the workload's characterization).
+    // Evaluate the misses in chunks, in order, so an expired deadline
+    // sheds the remaining rows instead of finishing a batch nobody is
+    // waiting for.
     constexpr std::size_t kChunk = 64;
-    std::map<std::uint32_t, IWCharacteristic> fitByWidth;
-    for (std::size_t base = 0; base < evalRows.size();
-         base += kChunk) {
-        if (request && request->deadlineExpired()) {
-            for (std::size_t k = base; k < evalRows.size(); ++k) {
-                rowError[evalRows[k]] =
-                    "deadline exceeded before evaluation";
-            }
-            batchShedRows_.inc(evalRows.size() - base);
+    const opt::SweepPlan plan = planPoints(points, kChunk);
+    std::size_t evaluated = 0;
+    for (const std::vector<std::size_t> &chunk : plan.batches) {
+        if (request && request->deadlineExpired())
             break;
-        }
-        const std::size_t count =
-            std::min(kChunk, evalRows.size() - base);
-        std::vector<IWCharacteristic> iws;
-        iws.reserve(count);
-        std::vector<MachineConfig> machines(
-            evalMachines.begin() + base,
-            evalMachines.begin() + base + count);
-        for (const MachineConfig &machine : machines) {
-            auto it = fitByWidth.find(machine.width);
-            if (it == fitByWidth.end()) {
-                it = fitByWidth
-                         .emplace(machine.width,
-                                  Workbench::fitIw(
-                                      data.iwPoints,
-                                      data.missProfile.avgLatency,
-                                      machine.width))
-                         .first;
-            }
-            iws.push_back(it->second);
-        }
-        const std::vector<CpiBreakdown> bs = evaluateBatch(
-            iws, machines, data.missProfile, options);
-        evaluations_.inc(count);
-        for (std::size_t k = 0; k < count; ++k) {
-            const std::size_t row = evalRows[base + k];
-            const CpiBreakdown &b = bs[k];
-            cols[row] = {b.ideal,      b.brmisp, b.icacheL1,
-                         b.icacheL2,   b.dcacheLong,
-                         b.dtlb,       b.total(), b.ipc()};
-            if (keyed) {
-                // Write the full single-request response through the
-                // caches so a later /v1/cpi for this design point is
-                // a byte-identical hit.
-                const std::string text =
-                    cpiResponseJson(req.workload, data, machines[k],
-                                    iws[k], b)
-                        .dump();
-                if (useCache)
-                    cache_.put(evalKeys[base + k], text);
-                if (persistent_)
-                    persistent_->put(evalKeys[base + k], text);
-            }
-        }
+        evaluatePoints(points, chunk);
+        evaluated += chunk.size();
     }
+    for (std::size_t k = evaluated; k < plan.misses.size(); ++k)
+        rowError[rowOf[plan.misses[k]]] =
+            "deadline exceeded before evaluation";
+    batchShedRows_.inc(plan.misses.size() - evaluated);
 
     batch::Result result;
     result.workload = req.workload;
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0, p = 0; i < n; ++i) {
         if (!rowError[i].empty()) {
             batchRowErrors_.inc();
             result.pushError(std::move(rowError[i]));
         } else {
-            result.pushRow(cols[i][0], cols[i][1], cols[i][2],
-                           cols[i][3], cols[i][4], cols[i][5],
-                           cols[i][6], cols[i][7]);
+            const std::array<double, 8> &c = points.cols[p];
+            result.pushRow(c[0], c[1], c[2], c[3], c[4], c[5], c[6],
+                           c[7]);
         }
+        if (p < rowOf.size() && rowOf[p] == i)
+            ++p;
     }
     batchRows_.inc(n);
     return result;

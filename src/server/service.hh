@@ -24,16 +24,18 @@
 #ifndef FOSM_SERVER_SERVICE_HH
 #define FOSM_SERVER_SERVICE_HH
 
+#include <array>
+#include <map>
 #include <memory>
 #include <string>
 
 #include "experiments/workbench.hh"
+#include "opt/planner.hh"
 #include "server/batch.hh"
 #include "server/lru_cache.hh"
 #include "server/metrics.hh"
 #include "server/persistent_cache.hh"
 #include "server/router.hh"
-#include "server/trend_studies.hh"
 
 namespace fosm::server {
 
@@ -187,15 +189,59 @@ class ModelService
     {
         scrubStats_ = std::move(provider);
     }
-    const TrendStudies &trendStudies() const { return trends_; }
 
   private:
     json::Value health() const;
 
     /**
-     * Shared batch core: validate rows, consult the per-row response
-     * caches, evaluate the misses through the batched model kernels,
-     * write fresh rows back through the caches. request (when
+     * Design points of one workload, addressed by index (batch rows,
+     * optimize ordinals), each cached under its /v1/cpi digest.
+     */
+    struct DesignPoints
+    {
+        std::string workload;
+        const WorkloadData *data = nullptr;
+        ModelOptions options;
+        std::vector<MachineConfig> machines;
+        /** cacheKey("/v1/cpi", the point's single-request body). */
+        std::vector<std::string> keys;
+        /** ideal, brmisp, icacheL1, icacheL2, dcacheLong, dtlb,
+         *  total, ipc — filled by a cache hit or an evaluation. */
+        std::vector<std::array<double, 8>> cols;
+        /** One IW fit per width the plan schedules. */
+        std::map<std::uint32_t, IWCharacteristic> fits;
+    };
+
+    /**
+     * The two-tier response cache every path reads: the LRU, then the
+     * persistent store, refilling the LRU on a store hit. Every LRU
+     * miss counts, whatever the capacity.
+     */
+    bool cacheGet(const std::string &key, std::string &value);
+
+    /** Write-through to both tiers. */
+    void cachePut(const std::string &key, const std::string &value);
+
+    /**
+     * Plan a sweep over points: probe every point's cached /v1/cpi
+     * document (a hit fills its cols), chunk the misses into batches
+     * of at most batchRows, and fit one IW characterization per width
+     * the misses need.
+     */
+    opt::SweepPlan planPoints(DesignPoints &points,
+                              std::size_t batchRows);
+
+    /**
+     * Evaluate one planned batch through the batched kernels, fill
+     * its cols, and write each point's /v1/cpi document through both
+     * tiers. Distinct batches of one plan may run concurrently.
+     */
+    void evaluatePoints(DesignPoints &points,
+                        const std::vector<std::size_t> &batch);
+
+    /**
+     * Shared batch core: validate rows, then plan and evaluate them
+     * as design points (planPoints, evaluatePoints). request (when
      * non-null) supplies the deadline checked between evaluation
      * chunks; rows past an expired deadline are shed into error
      * slots instead of evaluated.
@@ -218,7 +264,6 @@ class ModelService
     ShardedLruCache<std::string> cache_;
     std::shared_ptr<store::PersistentStore> store_;
     std::unique_ptr<PersistentResponseCache> persistent_;
-    TrendStudies trends_;
     Router router_;
     std::function<json::Value()> replStats_;
     std::function<json::Value()> scrubStats_;

@@ -16,10 +16,17 @@
 namespace fosm::opt {
 namespace {
 
+/** Every point shares one characterization (one issue width). */
+std::uint64_t
+width4(std::size_t)
+{
+    return 4;
+}
+
 TEST(Planner, AllMissesChunkedIntoBatches)
 {
     const SweepPlan plan = planSweep(
-        10, [](std::size_t) { return false; }, nullptr, 4);
+        10, [](std::size_t) { return false; }, width4, 4);
     EXPECT_TRUE(plan.cached.empty());
     ASSERT_EQ(plan.misses.size(), 10u);
     for (std::size_t i = 0; i < 10; ++i)
@@ -38,7 +45,7 @@ TEST(Planner, ProbeHitsAreNeverScheduled)
 {
     // Evens cached: the dedupe-count pin.
     const SweepPlan plan = planSweep(
-        9, [](std::size_t i) { return i % 2 == 0; }, nullptr, 100);
+        9, [](std::size_t i) { return i % 2 == 0; }, width4, 100);
     EXPECT_EQ(plan.cached,
               (std::vector<std::size_t>{0, 2, 4, 6, 8}));
     EXPECT_EQ(plan.misses, (std::vector<std::size_t>{1, 3, 5, 7}));
@@ -54,7 +61,7 @@ TEST(Planner, CharacterizationKeysCollapseOverMissesOnly)
     // so only width 4 needs a characterization.
     const SweepPlan plan = planSweep(
         8, [](std::size_t i) { return i % 2 == 0; },
-        [](std::size_t i) { return i % 2 == 0 ? 2u : 4u; }, 0);
+        [](std::size_t i) { return i % 2 == 0 ? 2u : 4u; }, 64);
     ASSERT_EQ(plan.characterizationKeys.size(), 1u);
     EXPECT_EQ(plan.characterizationKeys[0], 4u);
     EXPECT_EQ(plan.stats.characterizations, 1u);
@@ -65,19 +72,10 @@ TEST(Planner, CharacterizationKeysFirstSeenOrder)
     const std::vector<std::uint64_t> widths = {8, 2, 8, 4, 2, 8};
     const SweepPlan plan = planSweep(
         widths.size(), [](std::size_t) { return false; },
-        [&](std::size_t i) { return widths[i]; }, 0);
+        [&](std::size_t i) { return widths[i]; }, 64);
     EXPECT_EQ(plan.characterizationKeys,
               (std::vector<std::uint64_t>{8, 2, 4}));
     EXPECT_EQ(plan.stats.characterizations, 3u);
-}
-
-TEST(Planner, ZeroBatchRowsMeansOneBatch)
-{
-    const SweepPlan plan = planSweep(
-        100, [](std::size_t) { return false; }, nullptr, 0);
-    ASSERT_EQ(plan.batches.size(), 1u);
-    EXPECT_EQ(plan.batches[0].size(), 100u);
-    EXPECT_EQ(plan.stats.batches, 1u);
 }
 
 TEST(Planner, AllCachedSchedulesNothing)
@@ -97,7 +95,7 @@ TEST(Planner, AllCachedSchedulesNothing)
 TEST(Planner, EmptySweep)
 {
     const SweepPlan plan = planSweep(
-        0, [](std::size_t) { return false; }, nullptr, 4);
+        0, [](std::size_t) { return false; }, width4, 4);
     EXPECT_TRUE(plan.cached.empty());
     EXPECT_TRUE(plan.misses.empty());
     EXPECT_TRUE(plan.batches.empty());
@@ -113,7 +111,7 @@ TEST(Planner, ProbeCalledExactlyOncePerPointInOrder)
             probed.push_back(i);
             return false;
         },
-        nullptr, 2);
+        width4, 2);
     EXPECT_EQ(probed, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
 }
 

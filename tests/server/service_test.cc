@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -216,15 +218,26 @@ TEST(Service, IwCurveServesCachedCharacterization)
     }
 }
 
+/** Bit image of a double, so EXPECT_EQ means "same bits". */
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
 TEST(Service, TrendsMatchesDirectSweep)
 {
     ModelService &service = sharedService();
+    const TrendConfig config;
+    const std::uint32_t widthList[] = {2, 4};
+    json::Value widths = json::Value::array();
+    for (const std::uint32_t w : widthList)
+        widths.push(w);
+
+    // Pipeline-depth study (Fig. 17): every point and the optimum.
     json::Value req = json::Value::object();
     req.set("study", "pipeline-depth");
-    json::Value widths = json::Value::array();
-    widths.push(2);
-    widths.push(4);
-    req.set("widths", std::move(widths));
+    req.set("widths", widths);
     json::Value depths = json::Value::array();
     depths.push(5);
     depths.push(10);
@@ -234,10 +247,7 @@ TEST(Service, TrendsMatchesDirectSweep)
     const json::Value *series = out.find("series");
     ASSERT_NE(series, nullptr);
     ASSERT_EQ(series->items().size(), 2u);
-
-    const TrendConfig config;
     const std::vector<std::uint32_t> depthList = {5, 10};
-    const std::uint32_t widthList[] = {2, 4};
     for (std::size_t i = 0; i < 2; ++i) {
         const auto direct =
             pipelineDepthSweep(widthList[i], depthList, config);
@@ -248,11 +258,59 @@ TEST(Service, TrendsMatchesDirectSweep)
         ASSERT_NE(points, nullptr);
         ASSERT_EQ(points->items().size(), direct.size());
         for (std::size_t j = 0; j < direct.size(); ++j) {
-            EXPECT_EQ(points->items()[j].find("ipc")->asDouble(),
-                      direct[j].ipc);
-            EXPECT_EQ(points->items()[j].find("bips")->asDouble(),
-                      direct[j].bips);
+            const json::Value &p = points->items()[j];
+            EXPECT_EQ(p.find("depth")->asInt(),
+                      static_cast<std::int64_t>(direct[j].depth));
+            EXPECT_EQ(bits(p.find("ipc")->asDouble()),
+                      bits(direct[j].ipc));
+            EXPECT_EQ(bits(p.find("clockGhz")->asDouble()),
+                      bits(direct[j].clockGhz));
+            EXPECT_EQ(bits(p.find("bips")->asDouble()),
+                      bits(direct[j].bips));
         }
+        const PipelineDepthPoint optimal =
+            optimalPipelineDepth(widthList[i], config);
+        const json::Value *best = entry.find("optimal");
+        ASSERT_NE(best, nullptr);
+        EXPECT_EQ(best->find("depth")->asInt(),
+                  static_cast<std::int64_t>(optimal.depth));
+        EXPECT_EQ(bits(best->find("bips")->asDouble()),
+                  bits(optimal.bips));
+    }
+
+    // Issue-width study (Figs. 18-19): saturation points and ramp.
+    json::Value widthReq = json::Value::object();
+    widthReq.set("study", "issue-width");
+    widthReq.set("widths", widths);
+    const json::Value widthOut = service.trends(widthReq);
+    const json::Value *widthSeries = widthOut.find("series");
+    ASSERT_NE(widthSeries, nullptr);
+    ASSERT_EQ(widthSeries->items().size(), 2u);
+    const std::vector<double> fractions = {0.5, 0.8, 0.9, 0.95, 0.99};
+    for (std::size_t i = 0; i < 2; ++i) {
+        const json::Value &entry = widthSeries->items()[i];
+        EXPECT_EQ(entry.find("width")->asInt(),
+                  static_cast<std::int64_t>(widthList[i]));
+        const auto saturation =
+            issueWidthRequirement(widthList[i], fractions, config);
+        const json::Value *points = entry.find("points");
+        ASSERT_NE(points, nullptr);
+        ASSERT_EQ(points->items().size(), saturation.size());
+        for (std::size_t j = 0; j < saturation.size(); ++j) {
+            const json::Value &p = points->items()[j];
+            EXPECT_EQ(bits(p.find("timeFraction")->asDouble()),
+                      bits(saturation[j].timeFraction));
+            EXPECT_EQ(bits(p.find("instructionsBetween")->asDouble()),
+                      bits(saturation[j].instructionsBetween));
+        }
+        const std::vector<double> ramp =
+            issueRampSeries(widthList[i], config);
+        const json::Value *served = entry.find("issueRamp");
+        ASSERT_NE(served, nullptr);
+        ASSERT_EQ(served->items().size(), ramp.size());
+        for (std::size_t j = 0; j < ramp.size(); ++j)
+            EXPECT_EQ(bits(served->items()[j].asDouble()),
+                      bits(ramp[j]));
     }
 }
 

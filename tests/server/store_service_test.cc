@@ -3,14 +3,15 @@
  * Service persistence tests: a restarted service serves bit-identical
  * responses straight from the store (nonzero hit rate, no rebuild), a
  * fresh design point after restart is evaluated from the reloaded
- * characterization, /v1/store/stats reports both modes, and the trend
- * memo reuses rows across overlapping sweeps.
+ * characterization, /v1/store/stats reports both modes, and
+ * overlapping /v1/trends sweeps return byte-identical shared rows.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "server/service.hh"
 
@@ -144,68 +145,60 @@ TEST(ServicePersistence, StoreStatsReportsBothModes)
     EXPECT_EQ(stats.find("store"), nullptr);
 }
 
-TEST(ServiceTrendMemo, OverlappingSweepsReuseRows)
+/** {study, widths, depths} for a /v1/trends request. */
+json::Value
+trendRequest(const char *study, std::vector<int> widths,
+             std::vector<int> depths)
+{
+    json::Value req = json::Value::object();
+    req.set("study", study);
+    json::Value w = json::Value::array();
+    for (const int width : widths)
+        w.push(width);
+    req.set("widths", std::move(w));
+    if (!depths.empty()) {
+        json::Value d = json::Value::array();
+        for (const int depth : depths)
+            d.push(depth);
+        req.set("depths", std::move(d));
+    }
+    return req;
+}
+
+TEST(ServiceTrends, OverlappingSweepsShareRowsByteForByte)
 {
     MetricsRegistry metrics;
     ModelService service(ServiceConfig{}, metrics);
 
-    json::Value first = json::Value::object();
-    first.set("study", "pipeline-depth");
-    json::Value widths = json::Value::array();
-    widths.push(2);
-    widths.push(4);
-    first.set("widths", std::move(widths));
-    json::Value depths = json::Value::array();
-    depths.push(5);
-    depths.push(10);
-    first.set("depths", std::move(depths));
+    for (const char *study : {"pipeline-depth", "issue-width"}) {
+        const std::vector<int> depths =
+            std::string(study) == "pipeline-depth"
+                ? std::vector<int>{5, 10}
+                : std::vector<int>{};
+        const json::Value a =
+            service.trends(trendRequest(study, {2, 4}, depths));
+        // The identical request answers the identical document.
+        EXPECT_EQ(service.trends(trendRequest(study, {2, 4}, depths))
+                      .dump(),
+                  a.dump())
+            << study;
 
-    const json::Value a = service.trends(first);
-    EXPECT_EQ(service.trendStudies().memoMisses(), 2u);
-    EXPECT_EQ(service.trendStudies().memoHits(), 0u);
-
-    // The identical request reuses every row.
-    EXPECT_EQ(service.trends(first).dump(), a.dump());
-    EXPECT_EQ(service.trendStudies().memoHits(), 2u);
-
-    // A superset sweep reuses the overlap and computes only the new
-    // width; the shared rows are bit-identical across responses.
-    json::Value second = json::Value::object();
-    second.set("study", "pipeline-depth");
-    json::Value moreWidths = json::Value::array();
-    moreWidths.push(2);
-    moreWidths.push(4);
-    moreWidths.push(8);
-    second.set("widths", std::move(moreWidths));
-    json::Value sameDepths = json::Value::array();
-    sameDepths.push(5);
-    sameDepths.push(10);
-    second.set("depths", std::move(sameDepths));
-
-    const json::Value c = service.trends(second);
-    EXPECT_EQ(service.trendStudies().memoHits(), 4u);
-    EXPECT_EQ(service.trendStudies().memoMisses(), 3u);
-    const json::Value *seriesA = a.find("series");
-    const json::Value *seriesC = c.find("series");
-    ASSERT_NE(seriesA, nullptr);
-    ASSERT_NE(seriesC, nullptr);
-    ASSERT_EQ(seriesC->items().size(), 3u);
-    for (std::size_t i = 0; i < 2; ++i) {
-        EXPECT_EQ(seriesC->items()[i].dump(),
-                  seriesA->items()[i].dump());
+        // A superset sweep: the shared rows are byte-identical
+        // across responses.
+        const json::Value c =
+            service.trends(trendRequest(study, {2, 4, 8}, depths));
+        const json::Value *seriesA = a.find("series");
+        const json::Value *seriesC = c.find("series");
+        ASSERT_NE(seriesA, nullptr);
+        ASSERT_NE(seriesC, nullptr);
+        ASSERT_EQ(seriesA->items().size(), 2u);
+        ASSERT_EQ(seriesC->items().size(), 3u);
+        for (std::size_t i = 0; i < 2; ++i) {
+            EXPECT_EQ(seriesC->items()[i].dump(),
+                      seriesA->items()[i].dump())
+                << study << " row " << i;
+        }
     }
-
-    // Width-study rows memoize in their own table.
-    json::Value widthReq = json::Value::object();
-    widthReq.set("study", "issue-width");
-    json::Value w = json::Value::array();
-    w.push(4);
-    widthReq.set("widths", std::move(w));
-    const json::Value d = service.trends(widthReq);
-    EXPECT_EQ(service.trendStudies().memoMisses(), 4u);
-    EXPECT_EQ(service.trends(widthReq).dump(), d.dump());
-    EXPECT_EQ(service.trendStudies().memoHits(), 5u);
-    EXPECT_EQ(service.trendStudies().size(), 4u);
 }
 
 } // namespace
